@@ -82,6 +82,7 @@ from repro.util.ids import IdGenerator, object_row_key, storage_key
 from repro.util.streams import ByteSource
 
 Payload = Union[bytes, int]  # real bytes, or a synthetic byte count
+ByteRange = Tuple[int, Optional[int]]  # inclusive; end None = last byte
 
 #: Default stripe size of the streaming data plane (8 MiB, S3-part-like).
 DEFAULT_STRIPE_SIZE = 8 * 1024 * 1024
@@ -136,7 +137,15 @@ class ReadFailedError(RuntimeError):
 
 
 class InvalidRangeError(ValueError):
-    """Raised for a byte range that no part of the object satisfies (416)."""
+    """Raised for a byte range that no part of the object satisfies (416).
+
+    ``object_size`` is the size of the version the range was checked
+    against, for the 416 response's ``Content-Range: bytes */size``.
+    """
+
+    def __init__(self, message: str, object_size: int = 0) -> None:
+        super().__init__(message)
+        self.object_size = object_size
 
 
 class NoSuchUploadError(KeyError):
@@ -332,6 +341,49 @@ class ReadPlan:
     length: int
 
 
+def resolve_range(meta: ObjectMeta, byte_range: ByteRange) -> Tuple[int, int]:
+    """Clamp an inclusive ``(start, end)`` request against the object."""
+    start, end = byte_range
+    start = int(start)
+    if end is None:
+        end = meta.size - 1
+    end = int(end)
+    if start < 0 or end < start:
+        raise InvalidRangeError(
+            f"invalid byte range [{start}, {end}] for {meta.container}/{meta.key}",
+            meta.size,
+        )
+    if start >= meta.size:
+        raise InvalidRangeError(
+            f"range start {start} beyond object size {meta.size}", meta.size
+        )
+    return start, min(end, meta.size - 1)
+
+
+def plan_read(meta: ObjectMeta, byte_range: Optional[ByteRange] = None) -> ReadPlan:
+    """The stripe slices of ``meta`` covering ``byte_range`` (None = all)."""
+    if byte_range is None:
+        start, end = 0, meta.size - 1
+    else:
+        start, end = resolve_range(meta, byte_range)
+    segments = meta.stripes_for_range(start, end) if meta.size > 0 else []
+    length = max(0, end - start + 1)
+    return ReadPlan(meta=meta, segments=segments, start=start, end=end, length=length)
+
+
+def first_block(plan: ReadPlan, read_stripe: Callable[[int], Payload]) -> Payload:
+    """The plaintext of ``plan``'s first segment via ``read_stripe(stripe)``.
+
+    A plan covering nothing (an empty object) yields ``b""``, or the
+    synthetic ``0``; synthetic stripes yield their byte count unsliced.
+    """
+    if not plan.segments:
+        return b"" if plan.meta.checksum else 0
+    stripe, lo, hi = plan.segments[0]
+    payload = read_stripe(stripe)
+    return payload if isinstance(payload, int) else payload[lo:hi]
+
+
 class _EngineTimers:
     """Pre-resolved metric children for one engine's hot paths."""
 
@@ -339,7 +391,7 @@ class _EngineTimers:
 
     _OPS = (
         "put", "get", "get_many", "get_with_meta", "open_read",
-        "read_stripe", "delete", "list", "migrate",
+        "start_read", "read_stripe", "delete", "list", "migrate",
     )
 
     def __init__(self, metrics) -> None:
@@ -543,7 +595,7 @@ class Engine:
         container: str,
         key: str,
         *,
-        byte_range: Optional[Tuple[int, Optional[int]]] = None,
+        byte_range: Optional[ByteRange] = None,
         now: float = 0.0,
         period: int = 0,
     ) -> Payload:
@@ -561,7 +613,7 @@ class Engine:
         key: str,
         count: int,
         *,
-        byte_range: Optional[Tuple[int, Optional[int]]] = None,
+        byte_range: Optional[ByteRange] = None,
         now: float = 0.0,
         period: int = 0,
     ) -> Payload:
@@ -584,7 +636,7 @@ class Engine:
         key: str,
         count: int,
         *,
-        byte_range: Optional[Tuple[int, Optional[int]]] = None,
+        byte_range: Optional[ByteRange] = None,
         now: float = 0.0,
         period: int = 0,
     ) -> Payload:
@@ -629,7 +681,7 @@ class Engine:
         row_key: str,
         count: int,
         *,
-        byte_range: Optional[Tuple[int, Optional[int]]],
+        byte_range: Optional[ByteRange],
         now: float,
         period: int,
     ) -> Tuple[Payload, ObjectMeta]:
@@ -663,15 +715,16 @@ class Engine:
         container: str,
         key: str,
         *,
-        byte_range: Optional[Tuple[int, Optional[int]]] = None,
+        byte_range: Optional[ByteRange] = None,
         now: float = 0.0,
         period: int = 0,
     ) -> ReadPlan:
         """Resolve a read into its covering stripe slices.
 
-        The streaming consumers (the gateway's chunked responses) pull
-        the plan's stripes one at a time through :meth:`read_stripe`,
-        so no layer ever holds more than one decoded stripe.  Planning
+        Consumers that decode elsewhere (the pre-forked gateway
+        workers) pull the plan's stripes one at a time, so no layer ever
+        holds more than one decoded stripe; the in-process gateway uses
+        :meth:`start_read` instead.  Planning
         logs nothing — call :meth:`commit_read` once bytes actually flow,
         so a read that fails outright (outage, missing chunks) never
         pollutes the access statistics the placement logic learns from.
@@ -684,21 +737,44 @@ class Engine:
         container: str,
         key: str,
         *,
-        byte_range: Optional[Tuple[int, Optional[int]]] = None,
+        byte_range: Optional[ByteRange] = None,
     ) -> ReadPlan:
         meta = self._winning_meta(object_row_key(container, key))
         if meta is None:
             raise ObjectNotFoundError(f"{container}/{key}")
-        if byte_range is None:
-            start, end = 0, meta.size - 1
-        else:
-            start, end = self._resolve_range(meta, byte_range)
-        if meta.size > 0:
-            segments = meta.stripes_for_range(start, end)
-        else:
-            segments = []
-        length = max(0, end - start + 1)
-        return ReadPlan(meta=meta, segments=segments, start=start, end=end, length=length)
+        return plan_read(meta, byte_range)
+
+    @_timed_op("start_read")
+    def start_read(
+        self,
+        container: str,
+        key: str,
+        *,
+        prepare: Optional[Callable[[ObjectMeta], Optional[ByteRange]]] = None,
+        period: int = 0,
+    ) -> Tuple[ReadPlan, Payload]:
+        """Begin serving a read: ``(plan, first block)`` from one hold.
+
+        Under a single shared hold of the object's stripe this reads the
+        winning metadata once, calls ``prepare(meta)`` — which may raise
+        to refuse the read (a failed precondition bills nothing) and
+        returns the inclusive byte range to serve, ``None`` for all of it
+        — plans the covering stripes, decodes the first one and logs the
+        read.  The first block is that stripe's slice of the range
+        (empty, or the synthetic ``0``, when nothing is covered); the
+        caller pulls any later stripes through :meth:`read_stripe`.  A
+        first stripe that cannot be read raises before anything is
+        logged, like :meth:`open_read` + :meth:`commit_read`.
+        """
+        row_key = object_row_key(container, key)
+        with self._locks.read_object(row_key):
+            meta = self._winning_meta(row_key)
+            if meta is None:
+                raise ObjectNotFoundError(f"{container}/{key}")
+            plan = plan_read(meta, prepare(meta) if prepare is not None else None)
+            first = first_block(plan, lambda s: self._read_stripe_payload(meta, s))
+            self._commit_read_impl(plan, count=1, period=period)
+        return plan, first
 
     def commit_read(self, plan: ReadPlan, *, count: int = 1, period: int = 0) -> None:
         """Record a served read from a plan (statistics, not metering —
@@ -1921,26 +1997,6 @@ class Engine:
         )
 
     # -- read paths --------------------------------------------------------
-
-    @staticmethod
-    def _resolve_range(
-        meta: ObjectMeta, byte_range: Tuple[int, Optional[int]]
-    ) -> Tuple[int, int]:
-        """Clamp an inclusive ``(start, end)`` request against the object."""
-        start, end = byte_range
-        start = int(start)
-        if end is None:
-            end = meta.size - 1
-        end = int(end)
-        if start < 0 or end < start:
-            raise InvalidRangeError(
-                f"invalid byte range [{start}, {end}] for {meta.container}/{meta.key}"
-            )
-        if start >= meta.size:
-            raise InvalidRangeError(
-                f"range start {start} beyond object size {meta.size}"
-            )
-        return start, min(end, meta.size - 1)
 
     def _serving_order(self, meta: ObjectMeta) -> List[Tuple[int, str]]:
         """Available chunks sorted by health, then by the cost of reading.

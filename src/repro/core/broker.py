@@ -22,10 +22,15 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.datacenter import ScaliaCluster
-from repro.cluster.engine import DEFAULT_STRIPE_SIZE, PlacementError, ReadPlan
+from repro.cluster.engine import (
+    DEFAULT_STRIPE_SIZE,
+    ByteRange,
+    PlacementError,
+    ReadPlan,
+)
 from repro.cluster.hedging import HedgeStats
 from repro.providers.health import HedgePolicy
 from repro.cluster.multipart import MultipartState, PartState
@@ -795,7 +800,7 @@ class Scalia:
         container: str,
         key: str,
         *,
-        byte_range: Optional[Tuple[int, Optional[int]]] = None,
+        byte_range: Optional[ByteRange] = None,
         dc: Optional[str] = None,
     ):
         """Read an object back (bytes, or the synthetic byte count).
@@ -834,7 +839,7 @@ class Scalia:
         container: str,
         key: str,
         *,
-        byte_range: Optional[Tuple[int, Optional[int]]] = None,
+        byte_range: Optional[ByteRange] = None,
         dc: Optional[str] = None,
     ) -> ReadPlan:
         """Resolve a (possibly ranged) read into per-stripe segments.
@@ -846,6 +851,20 @@ class Scalia:
         """
         return self.cluster.route(dc).open_read(
             container, key, byte_range=byte_range, now=self._now, period=self._period
+        )
+
+    def start_read(
+        self,
+        container: str,
+        key: str,
+        *,
+        prepare: Optional[Callable[[ObjectMeta], Optional[ByteRange]]] = None,
+        dc: Optional[str] = None,
+    ) -> Tuple[ReadPlan, object]:
+        """Resolve, check, plan, decode the first stripe and log a read in
+        one engine call; later stripes come from :meth:`read_stripe`."""
+        return self.cluster.route(dc).start_read(
+            container, key, prepare=prepare, period=self._period
         )
 
     def read_stripe(self, meta: ObjectMeta, stripe: int, *, dc: Optional[str] = None):

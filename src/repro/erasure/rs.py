@@ -29,6 +29,23 @@ def shard_length(data_len: int, m: int) -> int:
 
 
 @dataclass(frozen=True)
+class DecodePlan:
+    """How one chosen shard set rebuilds the data rows it lacks.
+
+    Built once per shard-index tuple from the inverse of the generator's
+    rows for those shards.  ``aliases`` maps a missing data row whose
+    inverse row is a unit vector to the one shard that *is* that row —
+    served as a view, no field arithmetic (every ``m = 1`` replica read,
+    for one).  The other missing rows are ``mixed_rows``, recovered by one
+    ``gf_matmul`` with the matching rows of ``mixed_matrix``.
+    """
+
+    aliases: Mapping[int, int]
+    mixed_rows: tuple[int, ...]
+    mixed_matrix: np.ndarray
+
+
+@dataclass(frozen=True)
 class ReedSolomon:
     """A systematic (m, n) Reed-Solomon erasure code over GF(2^8).
 
@@ -47,6 +64,10 @@ class ReedSolomon:
     n: int
     construction: str = "vandermonde"
     _generator: np.ndarray = field(init=False, repr=False, compare=False)
+    # At most C(n, m) entries, one per chosen shard-index tuple.
+    _plans: Dict[tuple[int, ...], DecodePlan] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if not 1 <= self.m <= self.n:
@@ -69,6 +90,33 @@ class ReedSolomon:
     def generator(self) -> np.ndarray:
         """The (read-only) ``n x m`` generator matrix."""
         return self._generator
+
+    def _decode_plan(self, indices: tuple[int, ...]) -> DecodePlan:
+        """The cached plan for decoding from shards ``indices`` (sorted).
+
+        A racing first use may build the same plan twice; both results
+        are identical and the dict keeps one.
+        """
+        plan = self._plans.get(indices)
+        if plan is not None:
+            return plan
+        inv = gf_inverse(self._generator[list(indices)])
+        chosen = set(indices)
+        aliases: Dict[int, int] = {}
+        mixed: list[int] = []
+        for row in range(self.m):
+            if row in chosen:
+                continue
+            nonzero = np.flatnonzero(inv[row])
+            if len(nonzero) == 1 and inv[row, nonzero[0]] == 1:
+                aliases[row] = indices[int(nonzero[0])]
+            else:
+                mixed.append(row)
+        matrix = inv[mixed]
+        matrix.setflags(write=False)
+        plan = DecodePlan(aliases=aliases, mixed_rows=tuple(mixed), mixed_matrix=matrix)
+        self._plans[indices] = plan
+        return plan
 
     def encode(self, data: "bytes | memoryview") -> list[memoryview]:
         """Encode ``data`` into ``n`` shards of equal length.
@@ -111,9 +159,10 @@ class ReedSolomon:
 
         The concatenation of the returned views is the ``data_len``-byte
         object.  Data shards that are present are returned as views of the
-        caller's buffers — no copy; only genuinely missing data rows are
-        recovered through field arithmetic.  Extra shards beyond ``m`` are
-        ignored deterministically (lowest indices win).
+        caller's buffers — no copy; a missing data row comes from the
+        shard set's cached :class:`DecodePlan`: as a view when its inverse
+        row is a unit vector, else through field arithmetic.  Extra shards
+        beyond ``m`` are ignored deterministically (lowest indices win).
         """
         if data_len < 0:
             raise ValueError("data_len must be >= 0")
@@ -130,19 +179,22 @@ class ReedSolomon:
                 raise ValueError(
                     f"shard {idx} has length {len(shards[idx])}, expected {slen}"
                 )
-        chosen = set(indices)
         # Only rows that contribute live bytes are worth recovering.
         needed_rows = min(self.m, math.ceil(data_len / slen)) if data_len else 0
-        missing = [row for row in range(needed_rows) if row not in chosen]
         recovered: dict[int, memoryview] = {}
-        if missing:
-            sub = self._generator[indices]
-            inv = gf_inverse(sub)
-            stacked = np.vstack(
-                [np.frombuffer(shards[i], dtype=np.uint8) for i in indices]
-            )
-            rows = gf_matmul(inv[missing], stacked)
-            recovered = {row: memoryview(rows[j]) for j, row in enumerate(missing)}
+        aliases: Mapping[int, int] = {}
+        # A data row among the shards is among the m lowest indices.
+        if any(row not in shards for row in range(needed_rows)):
+            plan = self._decode_plan(tuple(indices))
+            aliases = plan.aliases
+            wanted = [k for k, row in enumerate(plan.mixed_rows) if row < needed_rows]
+            if wanted:
+                stacked = np.vstack(
+                    [np.frombuffer(shards[i], dtype=np.uint8) for i in indices]
+                )
+                rows = gf_matmul(plan.mixed_matrix[wanted], stacked)
+                for j, k in enumerate(wanted):
+                    recovered[plan.mixed_rows[k]] = memoryview(rows[j])
         blocks: list[memoryview] = []
         remaining = data_len
         for row in range(self.m):
@@ -151,7 +203,7 @@ class ReedSolomon:
                 break
             source = recovered.get(row)
             if source is None:
-                raw = shards[row]
+                raw = shards[aliases.get(row, row)]
                 source = raw if isinstance(raw, memoryview) else memoryview(raw)
             blocks.append(source[:take])
             remaining -= take

@@ -111,8 +111,8 @@ class GatewayClient:
             body is None or isinstance(body, (bytes, bytearray))
         )
         for attempt in (1, 2):
-            conn = self._connection()
             try:
+                conn = self._connection()
                 conn.request(
                     method, path, body=body, headers=send,
                     encode_chunked=encode_chunked,
@@ -136,6 +136,11 @@ class GatewayClient:
                 self.close()
                 if attempt == 2 or not retriable:
                     raise
+            except OSError:
+                # Refused, unreachable or timed out: drop the half-used
+                # connection so the next call starts from a fresh one.
+                self.close()
+                raise
         raise AssertionError("unreachable")
 
     def _json(

@@ -218,15 +218,17 @@ class BrokerFrontend:
     ):
         """A (possibly ranged, conditional) read as ``(plan, blocks)``.
 
-        One frontend operation resolves metadata, applies the
-        ``If-Match`` / ``If-None-Match`` preconditions (so a 304 bills no
-        read) and plans the covering stripes; the block iterator then
-        decodes one stripe per broker call, so a slow client never holds
-        any broker lock across its whole download and the gateway never
-        buffers more than one stripe.  ``range_spec`` is
-        the parsed ``Range`` header (suffix ranges resolve against the
-        live size in here); unsatisfiable ranges raise
-        :class:`InvalidRangeError` carrying ``object_size``.
+        One frontend operation — one broker call under one shared hold of
+        the object (:meth:`Scalia.start_read`) — reads the metadata once,
+        applies the ``If-Match`` / ``If-None-Match`` preconditions (so a
+        304 bills no read), resolves ``range_spec`` (the parsed ``Range``
+        header; suffix ranges against that same metadata), decodes the
+        first covering stripe and logs the read.  The validated version
+        is the served version by construction.  The block iterator then
+        decodes each later stripe in its own broker call, so a slow
+        client never holds any broker lock across its whole download and
+        the gateway never buffers more than one stripe.  Unsatisfiable
+        ranges raise :class:`InvalidRangeError` carrying ``object_size``.
         """
         container = self.mapper.internal_container(tenant, bucket)
 
@@ -237,90 +239,57 @@ class BrokerFrontend:
             if if_none_match is not None and etag_matches(if_none_match, etag):
                 raise NotModifiedError(etag)
 
-        def open_fn():
+        def prepare(meta: ObjectMeta):
+            check_preconditions(meta)
+            try:
+                return resolve_byte_range(range_spec, meta.size)
+            except RouteError as exc:
+                if exc.status != 416:
+                    raise
+                raise InvalidRangeError(str(exc), meta.size) from exc
+
+        def cached_read():
+            # A configured cache trades memory for provider traffic by
+            # design: whole-object reads are served (and billed) through
+            # it rather than by re-fetching stripes.  Synthetic payloads
+            # (ints) cache too — their HTTP body is empty either way.
+            # The head rejects a 304/412 before any read is billed; the
+            # payload/metadata pair is atomic (one broker lock hold), and
+            # a version re-put since the head is checked again.
             meta = self.broker.head(container, key)
             if meta is None:
-                raise ObjectNotFoundError(f"{bucket}/{key} not found")
-            # head/open_read are separate lock holds in direct mode, so a
-            # re-put can win the gap between them.  Preconditions and the
-            # range must describe the version actually served: when the
-            # planned version differs from the one validated, re-validate
-            # against it and re-plan (bounded retries; version churn on
-            # one key during one request is vanishingly rare).
-            for _attempt in range(4):
-                # Cheap reject first: a 304/412 against the current
-                # version bills no read.
-                check_preconditions(meta)
-                try:
-                    byte_range = resolve_byte_range(range_spec, meta.size)
-                    if byte_range is None and self.broker.cluster.cache is not None:
-                        # A configured cache trades memory for provider
-                        # traffic by design: serve (and bill) whole-object
-                        # reads through it rather than re-fetching stripes.
-                        # Synthetic payloads (ints) cache too — their HTTP
-                        # body is empty either way.  The payload/metadata
-                        # pair is atomic (one broker lock hold), so the
-                        # response headers always describe the body sent;
-                        # a re-put since the head re-checks below.
-                        try:
-                            payload, served = self.broker.get_with_meta(container, key)
-                        except ObjectNotFoundError:  # deleted since the head
-                            raise ObjectNotFoundError(
-                                f"{bucket}/{key} not found"
-                            ) from None
-                        if served.skey != meta.skey:
-                            check_preconditions(served)
-                        plan = ReadPlan(
-                            meta=served, segments=[], start=0,
-                            end=served.size - 1, length=served.size,
-                        )
-                        return plan, payload
-                    try:
-                        plan = self.broker.open_read(
-                            container, key, byte_range=byte_range
-                        )
-                    except ObjectNotFoundError:  # deleted since the head
-                        raise ObjectNotFoundError(
-                            f"{bucket}/{key} not found"
-                        ) from None
-                except (InvalidRangeError, RouteError) as exc:
-                    if isinstance(exc, RouteError) and exc.status != 416:
-                        raise
-                    wrapped = InvalidRangeError(str(exc))
-                    wrapped.object_size = meta.size
-                    raise wrapped from exc
-                if plan.meta.skey == meta.skey:
-                    return plan, None
-                meta = plan.meta  # replaced mid-request: validate that version
-            check_preconditions(plan.meta)
-            return plan, None
+                raise ObjectNotFoundError(f"{container}/{key}")
+            check_preconditions(meta)
+            payload, served = self.broker.get_with_meta(container, key)
+            if served.skey != meta.skey:
+                check_preconditions(served)
+            plan = ReadPlan(
+                meta=served, segments=[], start=0,
+                end=served.size - 1, length=served.size,
+            )
+            return plan, payload
 
-        plan, cached = self._run("get", open_fn)
+        def open_fn():
+            try:
+                if range_spec is None and self.broker.cluster.cache is not None:
+                    return cached_read()
+                return self.broker.start_read(container, key, prepare=prepare)
+            except ObjectNotFoundError:
+                # Report the tenant-facing name, not the internal container.
+                raise ObjectNotFoundError(f"{bucket}/{key} not found") from None
+
+        plan, first = self._run("get", open_fn)
 
         def blocks():
-            if cached is not None:
-                # the cache path went through broker.get, which logged
-                if isinstance(cached, (bytes, bytearray, memoryview)):
-                    yield cached
-                return
-            served = False
-            for stripe, lo, hi in plan.segments:
+            if isinstance(first, (bytes, bytearray, memoryview)):
+                yield first
+            for stripe, lo, hi in plan.segments[1:]:
                 payload = self._run(
                     "get_stripe",
                     lambda s=stripe: self.broker.read_stripe(plan.meta, s),
                 )
-                if not served:
-                    # First stripe decoded: the read is being served —
-                    # log it now, never for reads that failed outright.
-                    self._run(
-                        "commit_read", lambda: self.broker.commit_read(plan)
-                    )
-                    served = True
                 if isinstance(payload, (bytes, bytearray, memoryview)):
                     yield payload[lo:hi]
-            if not served:
-                # Zero-length reads (empty objects) serve trivially.
-                self._run("commit_read", lambda: self.broker.commit_read(plan))
 
         return plan, blocks()
 

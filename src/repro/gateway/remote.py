@@ -39,6 +39,8 @@ from repro.cluster.engine import (
     ReadFailedError,
     ReadPlan,
     WriteFailedError,
+    first_block,
+    plan_read,
 )
 from repro.cluster.multipart import MultipartState, PartState
 from repro.erasure.rs import CodeCache
@@ -64,9 +66,7 @@ def _raise_remote(err: Dict[str, Any]) -> None:
     if kind == "object_not_found":
         raise ObjectNotFoundError(msg)
     if kind == "invalid_range":
-        exc = InvalidRangeError(msg)
-        exc.object_size = int(err.get("object_size", 0))
-        raise exc
+        raise InvalidRangeError(msg, int(err.get("object_size", 0)))
     if kind == "write_failed":
         raise WriteFailedError(msg)
     if kind == "read_failed":
@@ -156,10 +156,19 @@ class _RemoteBroker:
     coding and checksumming happens here, in the worker process.
     """
 
-    def __init__(self, pool: _RpcPool) -> None:
+    def __init__(self, pool: _RpcPool, metrics: MetricsRegistry) -> None:
         self._pool = pool
         self._codes = CodeCache()
         self.cluster = _ClusterStub()
+        # The engine's codec byte counter, counted where the coding runs;
+        # the broker's aggregator folds it into the whole-system /metrics.
+        erasure_bytes = metrics.counter(
+            "scalia_erasure_bytes_total",
+            "Plaintext bytes through the erasure codec, by direction.",
+            ("direction",),
+        )
+        self._encode_bytes = erasure_bytes.labels("encode")
+        self._decode_bytes = erasure_bytes.labels("decode")
         hello = self._call("hello")
         self.stripe_size_bytes = int(hello["stripe_size"])
         self.provider_names: List[str] = list(hello.get("providers", ()))
@@ -191,6 +200,7 @@ class _RemoteBroker:
         trust reference later audits hold providers to.
         """
         chunks = split_object(block, m, len(providers), code_cache=self._codes)
+        self._encode_bytes.inc(len(block))
         self._call(
             "write_stripe",
             _buffers=[c.data for c in chunks],
@@ -366,12 +376,26 @@ class _RemoteBroker:
             if hashlib.sha1(shard).hexdigest() != checksum:
                 raise ValueError(f"chunk {index} failed checksum verification")
             shards[index] = shard
+        self._decode_bytes.inc(length)
         if indices == list(range(meta.m)):
             # Systematic code + contiguous data shards: the concatenated
             # shards are the padded stripe, plaintext is its prefix.
             return payload[:length]
         code = self._codes.get(meta.m, meta.n)
         return code.decode(shards, length)
+
+    def start_read(self, container: str, key: str, *, prepare=None):
+        """:meth:`Scalia.start_read` over the ops RPC's read protocol.
+
+        One ``read_open`` fetches the metadata; ``prepare`` and the range
+        plan run here against it, then the first stripe and the commit
+        each take one more call.  A refused read fetches no chunk.
+        """
+        meta = self.open_read(container, key).meta
+        plan = plan_read(meta, prepare(meta) if prepare is not None else None)
+        first = first_block(plan, lambda s: self.read_stripe(meta, s))
+        self.commit_read(plan)
+        return plan, first
 
     def commit_read(self, plan: ReadPlan, *, count: int = 1) -> None:
         self._call(
@@ -398,10 +422,7 @@ class _RemoteBroker:
         return bytes(pieces[0]) if len(pieces) == 1 else b"".join(pieces)
 
     def get(self, container: str, key: str):
-        plan = self.open_read(container, key)
-        payload = self._materialize(plan)
-        self.commit_read(plan)
-        return payload
+        return self.get_with_meta(container, key)[0]
 
     def get_with_meta(self, container: str, key: str):
         plan = self.open_read(container, key)
@@ -642,11 +663,11 @@ class RemoteBrokerFrontend(BrokerFrontend):
         rpc_timeout: float = 60.0,
     ) -> None:
         self._pool = _RpcPool(host, port, timeout=rpc_timeout)
-        broker = _RemoteBroker(self._pool)
-        super().__init__(broker, mode="direct", mapper=mapper)
         self.local_metrics = (
             metrics if metrics is not None else MetricsRegistry(enabled=True)
         )
+        broker = _RemoteBroker(self._pool, self.local_metrics)
+        super().__init__(broker, mode="direct", mapper=mapper)
         self._metrics = _WorkerMetrics(self.local_metrics, self._pool)
         self._events = _RemoteJournal(self._pool)
 

@@ -872,7 +872,7 @@ class GatewayHandler(BaseHTTPRequestHandler):
         # Synthetic objects (cost simulations) carry sizes, not payloads:
         # the response advertises a zero-length body, as it always has.
         body_length = plan.length if meta.checksum else 0
-        # Fetch the first stripe *before* committing the status line, so
+        # stream_get decoded the first stripe *before* the status line, so
         # the dominant failure modes (provider outage, missing chunks)
         # still surface as clean 503s; a failure deeper into the stream
         # can only abort the connection.

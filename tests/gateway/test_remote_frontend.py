@@ -232,3 +232,24 @@ class TestAccounting:
         # truth (broker families + folded worker contributions).
         text = remote.metrics.render_text()
         assert "scalia_gateway_workers_live" in text
+
+    def test_worker_coding_counts_in_erasure_bytes(self, rig):
+        # Encode/decode run in the worker; the whole-system counter must
+        # still see every plaintext byte coded, once per direction.
+        remote = rig["remote"]
+
+        def coded():
+            doc = rig["broker"].metrics.render_json()
+            samples = doc["metrics"]["scalia_erasure_bytes_total"]["samples"]
+            return {s["labels"]["direction"]: s["value"] for s in samples}
+
+        remote.push_metrics(slot=0, incarnation=1)
+        before = coded()
+        payload = bytes(range(256)) * 16 * 3 + b"tail"  # 3 full stripes + 4 B
+        remote.put(TENANT, "bkt", "coded", io.BytesIO(payload))
+        _, blocks = remote.stream_get(TENANT, "bkt", "coded")
+        assert _drain(blocks) == payload
+        remote.push_metrics(slot=0, incarnation=1)
+        after = coded()
+        assert after["encode"] - before.get("encode", 0) == len(payload)
+        assert after["decode"] - before.get("decode", 0) == len(payload)
